@@ -69,8 +69,8 @@ func main() {
 		"snapload: %s x%d for %.1fs: %d ops (%d upd, %d scan, %d resize) in %d requests, %.0f ops/sec\n",
 		rep.Config.Scenario, rep.Config.Conns, rep.ElapsedSec,
 		rep.Ops, rep.UpdateOps, rep.ScanOps, rep.ResizeOps, rep.Requests, rep.OpsPerSec)
-	fmt.Fprintf(os.Stderr, "snapload: latency p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms; %d cached scans, %d rejected\n",
-		rep.LatencyP50Ms, rep.LatencyP95Ms, rep.LatencyP99Ms, rep.LatencyMaxMs, rep.CachedScans, rep.Rejected)
+	fmt.Fprintf(os.Stderr, "snapload: latency p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms; %d rejected\n",
+		rep.LatencyP50Ms, rep.LatencyP95Ms, rep.LatencyP99Ms, rep.LatencyMaxMs, rep.Rejected)
 	if rep.Conformance != nil {
 		fmt.Fprintf(os.Stderr, "snapload: conformance OK over %d recorded ops\n", rep.Conformance.CheckedOps)
 	}

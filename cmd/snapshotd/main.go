@@ -1,16 +1,18 @@
 // Command snapshotd serves a partial snapshot object over HTTP/JSON — the
-// repository's serving layer. The store defaults to the Sharded
-// implementation (component space partitioned across independent lock-free
-// shards routed by id/width), so requests scoped to one shard inherit the
-// paper's disjoint-access guarantees end to end; see internal/server for
-// the endpoint and correctness surface.
+// repository's serving layer. The store defaults to lockfree, the paper's
+// wait-free construction: its per-component registry already gives
+// disjoint operations disjoint memory, with wait-free scans over any id
+// set. -impl selects any other snapshot.Impls() store; see internal/server
+// for the endpoint and correctness surface.
 //
-//	snapshotd -addr 127.0.0.1:8080 -impl sharded -components 64 -shards 8
+//	snapshotd -addr 127.0.0.1:8080 -components 64
 //
 // On SIGINT/SIGTERM the daemon drains in-flight requests, runs the
 // conformance oracle (spec.Check over the recorded traffic prefix) one
 // last time, and exits nonzero if the history fails — a lifetime of
-// traffic is never declared healthy without the spec signing off.
+// traffic is never declared healthy without the spec signing off. The
+// signal handler is installed before the listener opens, so a signal that
+// arrives once /healthz has answered is always drained.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -30,7 +33,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	impl := flag.String("impl", "sharded", fmt.Sprintf("implementation %v", snapshot.Impls()))
+	impl := flag.String("impl", string(snapshot.ImplLockFree), fmt.Sprintf("implementation %v", snapshot.Impls()))
 	components := flag.Int("components", 64, "number of components")
 	shards := flag.Int("shards", 8, "shard count (sharded implementation only; 0 = default)")
 	shardImpl := flag.String("shard-impl", "", "per-shard implementation: lockfree (default) or versioned")
@@ -61,14 +64,24 @@ func run(addr, impl string, components, shards int, shardImpl string, attempts, 
 	}
 	srv := server.New(obj, snapshot.Impl(impl), server.Config{MaxRecordedOps: maxRecorded})
 
+	// Catch the shutdown signals before anything can answer /healthz: a
+	// client that saw the daemon healthy may signal it at once, and that
+	// signal must drain and check, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	httpSrv := &http.Server{
-		Addr:              addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
 	}()
@@ -76,10 +89,8 @@ func run(addr, impl string, components, shards int, shardImpl string, attempts, 
 	if sh, ok := obj.(*snapshot.Sharded[int64]); ok {
 		fmt.Fprintf(os.Stderr, ", %d shards of width %d", sh.NumShards(), sh.ShardWidth())
 	}
-	fmt.Fprintf(os.Stderr, ") on http://%s\n", addr)
+	fmt.Fprintf(os.Stderr, ") on http://%s\n", ln.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		return err

@@ -63,14 +63,13 @@ type Report struct {
 
 	// Requests counts HTTP round trips; Ops counts logical operations
 	// (a batched update request carries several ops).
-	Requests    uint64  `json:"requests"`
-	Ops         uint64  `json:"ops"`
-	UpdateOps   uint64  `json:"update_ops"`
-	ScanOps     uint64  `json:"scan_ops"`
-	ResizeOps   uint64  `json:"resize_ops,omitempty"`
-	Rejected    uint64  `json:"rejected,omitempty"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	CachedScans uint64  `json:"cached_scans"`
+	Requests  uint64  `json:"requests"`
+	Ops       uint64  `json:"ops"`
+	UpdateOps uint64  `json:"update_ops"`
+	ScanOps   uint64  `json:"scan_ops"`
+	ResizeOps uint64  `json:"resize_ops,omitempty"`
+	Rejected  uint64  `json:"rejected,omitempty"`
+	OpsPerSec float64 `json:"ops_per_sec"`
 
 	// Errors5xx must be zero on a healthy run; Errors4xx counts rejections
 	// OTHER than the tolerated resize-race bad_component traffic (which is
@@ -179,7 +178,6 @@ func Run(cfg Config) (Report, error) {
 		rep.Rejected += ws.rejected
 		rep.Errors5xx += ws.errors5xx
 		rep.Errors4xx += ws.errors4xx
-		rep.CachedScans += ws.cached
 		all = append(all, ws.latencies...)
 	}
 	rep.Ops = rep.UpdateOps + rep.ScanOps + rep.ResizeOps
@@ -202,7 +200,6 @@ func Run(cfg Config) (Report, error) {
 type workerState struct {
 	requests, updates, scans, resizes uint64
 	rejected, errors5xx, errors4xx    uint64
-	cached                            uint64
 	latencies                         []float64
 }
 
@@ -224,8 +221,7 @@ func runWorker(ws *workerState, client *http.Client, cfg Config, stream *workloa
 		} else {
 			body = server.UpdateReq{Ops: pending}
 		}
-		status, _ := ws.do(client, cfg.BaseURL+"/update", body, tolerateRejects)
-		if status == http.StatusOK {
+		if ws.do(client, cfg.BaseURL+"/update", body, tolerateRejects) == http.StatusOK {
 			ws.updates += n
 		}
 		pending = pending[:0]
@@ -243,13 +239,9 @@ func runWorker(ws *workerState, client *http.Client, cfg Config, stream *workloa
 			}
 		case workload.OpScan:
 			flush()
-			status, cached := ws.do(client, cfg.BaseURL+"/scan",
-				server.ScanReq{IDs: append([]int(nil), op.Comps...)}, tolerateRejects)
-			if status == http.StatusOK {
+			if ws.do(client, cfg.BaseURL+"/scan",
+				server.ScanReq{IDs: append([]int(nil), op.Comps...)}, tolerateRejects) == http.StatusOK {
 				ws.scans++
-				if cached {
-					ws.cached++
-				}
 			}
 		case workload.OpGrow, workload.OpShrink:
 			flush()
@@ -260,7 +252,7 @@ func runWorker(ws *workerState, client *http.Client, cfg Config, stream *workloa
 			// A 409 is tolerated on resizing shapes: the generator's single
 			// churner never conflicts with itself, but the sharded geometry
 			// floor can reject a shrink the fixed-universe math would allow.
-			if status, _ := ws.do(client, cfg.BaseURL+path, server.ResizeReq{Delta: op.Delta}, tolerateRejects); status == http.StatusOK {
+			if ws.do(client, cfg.BaseURL+path, server.ResizeReq{Delta: op.Delta}, tolerateRejects) == http.StatusOK {
 				ws.resizes++
 			}
 		}
@@ -268,13 +260,12 @@ func runWorker(ws *workerState, client *http.Client, cfg Config, stream *workloa
 	flush()
 }
 
-// do sends one JSON POST, times it, and classifies the status. The bool
-// reports a cache-served scan.
-func (ws *workerState) do(client *http.Client, url string, body any, tolerateRejects bool) (int, bool) {
+// do sends one JSON POST, times it, and classifies the status.
+func (ws *workerState) do(client *http.Client, url string, body any, tolerateRejects bool) int {
 	data, err := json.Marshal(body)
 	if err != nil {
 		ws.errors4xx++
-		return 0, false
+		return 0
 	}
 	t0 := time.Now()
 	resp, err := client.Post(url, "application/json", bytes.NewReader(data))
@@ -282,17 +273,10 @@ func (ws *workerState) do(client *http.Client, url string, body any, tolerateRej
 		// Transport errors during shutdown are the run winding down; count
 		// them as 5xx so a sick server can never report a clean run.
 		ws.errors5xx++
-		return 0, false
+		return 0
 	}
 	ws.requests++
 	ws.latencies = append(ws.latencies, float64(time.Since(t0).Microseconds())/1000)
-	cached := false
-	if resp.StatusCode == http.StatusOK {
-		var sc server.ScanResp
-		if err := json.NewDecoder(resp.Body).Decode(&sc); err == nil {
-			cached = sc.Cached
-		}
-	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	switch {
@@ -304,7 +288,7 @@ func (ws *workerState) do(client *http.Client, url string, body any, tolerateRej
 	default:
 		ws.errors4xx++
 	}
-	return resp.StatusCode, cached
+	return resp.StatusCode
 }
 
 func newClient(conns int) *http.Client {

@@ -1,9 +1,7 @@
 // Package server is snapshotd's serving layer: an HTTP/JSON front end over
-// any snapshot.Object[int64] built by snapshot.New — in production the
-// Sharded store, whose per-shard locality is the paper's disjoint-access
-// argument at service scale (requests naming components of one shard touch
-// only that shard's memory, end to end from the HTTP handler down to the
-// registers).
+// any snapshot.Object[int64] built by snapshot.New. It is store-agnostic:
+// it calls only the Object methods, plus two optional ones for /stats
+// (snapshot.StatsReader's Stats and a shard count, NumShards).
 //
 // Endpoints:
 //
@@ -17,22 +15,26 @@
 //
 // Errors carry a machine-readable code from the snapshot package's wire
 // taxonomy: bad ids are HTTP 400 {"code":"bad_component"}, infeasible
-// resizes HTTP 409 {"code":"bad_resize"}, malformed requests HTTP 400
-// {"code":"bad_request"}; anything else is a 500 {"code":"internal"}.
+// resizes HTTP 409 {"code":"bad_resize"}, bodies over MaxBodyBytes HTTP 413
+// {"code":"too_large"}, malformed requests HTTP 400 {"code":"bad_request"};
+// anything else is a 500 {"code":"internal"}.
 //
-// Two correctness mechanisms ride on every request:
-//
-// Scan cache. The server keys scan results by the requested id set and a
-// vector of per-shard operation counters, bumped after each mutation is
-// applied and before its response is written. A cached view is served only
-// while the counters of every involved shard are unchanged, and a view is
-// inserted only if they did not move across the scan. That is linearizable
-// without peeking into the object: an update that has been applied but not
-// yet bumped its counter has, by construction, not yet been answered — it
-// is still concurrent with the scan request, so serving the pre-update
-// view orders the scan before it, which the interval checker (and any
-// client) must accept. Disjoint-shard updates never invalidate each
-// other's cached scans — locality again.
+// Wire codec. A request costs about what its object call costs: the body
+// is read whole into a pooled buffer (at most MaxBodyBytes) and decoded by
+// one strict, reflection-free parser, and /scan and /update replies are
+// appended into a pooled buffer and sent with an explicit Content-Length in
+// a single Write. The decoder's contract, for every request type: every
+// body it accepts, encoding/json (with DisallowUnknownFields) decodes to
+// the same value, and it accepts every body json.Marshal produces from the
+// request types. It accepts one JSON object, with whitespace around it and
+// between tokens; keys without escapes, matched exactly against the field
+// names; integers with no fraction or exponent, within the field's range;
+// arrays of integers; true/false for "all"; null for any field, meaning
+// the field's zero value. It deliberately rejects some bodies encoding/json
+// accepts: keys in another case than the field's ("IDS") or written with
+// escapes, a key given twice, data after the top-level object, null array
+// elements, and a top-level null. Replies carry no "cached" field:
+// ScanResp.Cached is always false.
 //
 // Conformance oracle. The server records a complete prefix of its traffic
 // through spec.Recorder: every operation is recorded until the admission
@@ -41,20 +43,18 @@
 // before the scan's own response, so once the last recorded scan has
 // finished, later writes are unobservable by the history and recording
 // closes). The recorded history therefore explains every value any
-// recorded scan can have seen — including cache-served responses, so a
-// stale-cache bug is convicted, not hidden. GET /conformance (and the
-// snapshotd shutdown hook) runs spec.Check over the prefix: the sequential
-// spec as the service's conformance oracle.
+// recorded scan can have seen. GET /conformance (and the snapshotd
+// shutdown hook) runs spec.Check over the prefix: the sequential spec as
+// the service's conformance oracle.
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,31 +69,21 @@ type Config struct {
 	// DefaultMaxRecordedOps). Recording self-closes shortly after the cap:
 	// see the package comment.
 	MaxRecordedOps int
-	// MaxCacheEntries bounds the scan cache (<=0 = DefaultMaxCacheEntries;
-	// the cache resets when full rather than maintaining an eviction
-	// order — scan keys under the workload shapes recur heavily, so a
-	// periodic cold restart costs little).
-	MaxCacheEntries int
 }
 
 // DefaultMaxRecordedOps is the conformance prefix admission cap.
 const DefaultMaxRecordedOps = 32768
 
-// DefaultMaxCacheEntries bounds the scan cache.
-const DefaultMaxCacheEntries = 4096
+// MaxBodyBytes caps every request body; a longer one is answered 413
+// too_large. A 256-id scan is about 1.5 KB and an 8-op batch of 32-id
+// updates about 4 KB.
+const MaxBodyBytes = 1 << 20
 
 // Server serves one snapshot object over HTTP.
 type Server struct {
 	obj  snapshot.Object[int64]
 	impl snapshot.Impl
-
-	// counters holds one mutation counter per shard (one total for the
-	// single-object implementations), the scan cache's invalidation clock.
-	counters []counter
-	shardOf  func(id int) int
-
-	cache scanCache
-	conf  *conformance
+	conf *conformance
 
 	requests    atomic.Uint64
 	badRequests atomic.Uint64
@@ -106,47 +96,17 @@ type Server struct {
 	resizes     atomic.Uint64
 }
 
-// counter is a padded per-shard mutation counter so disjoint-shard updates
-// do not false-share the invalidation clock.
-type counter struct {
-	n atomic.Uint64
-	_ [120]byte
-}
-
 // New builds a server over obj. impl is the snapshot.Impl name obj was
-// built with (reported by /stats and used to size the invalidation clock:
-// a *snapshot.Sharded gets one counter per shard).
+// built with, reported by /stats.
 func New(obj snapshot.Object[int64], impl snapshot.Impl, cfg Config) *Server {
 	if cfg.MaxRecordedOps <= 0 {
 		cfg.MaxRecordedOps = DefaultMaxRecordedOps
 	}
-	if cfg.MaxCacheEntries <= 0 {
-		cfg.MaxCacheEntries = DefaultMaxCacheEntries
+	return &Server{
+		obj:  obj,
+		impl: impl,
+		conf: &conformance{cap: int64(cfg.MaxRecordedOps), initial: obj.Components()},
 	}
-	s := &Server{obj: obj, impl: impl}
-	if sh, ok := obj.(*snapshot.Sharded[int64]); ok {
-		s.counters = make([]counter, sh.NumShards())
-		s.shardOf = sh.ShardOf
-	} else {
-		s.counters = make([]counter, 1)
-		s.shardOf = func(int) int { return 0 }
-	}
-	s.cache = scanCache{max: cfg.MaxCacheEntries, entries: map[string]*cacheEntry{}}
-	s.conf = &conformance{cap: int64(cfg.MaxRecordedOps), initial: components(obj)}
-	return s
-}
-
-// components reads the object's current size: the Sharded store reports it
-// directly, the single objects via the length of a full scan.
-func components(obj snapshot.Object[int64]) int {
-	if sh, ok := obj.(*snapshot.Sharded[int64]); ok {
-		return sh.Components()
-	}
-	vals, err := obj.Scan()
-	if err != nil {
-		return 0
-	}
-	return len(vals)
 }
 
 // Handler returns the server's mux.
@@ -196,8 +156,9 @@ type ScanReq struct {
 	All bool  `json:"all,omitempty"`
 }
 
-// ScanResp carries an atomic view of the requested components. Cached
-// reports whether the view was served from the counter-guarded cache.
+// ScanResp carries an atomic view of the requested components. Cached is
+// always false: the server has no scan cache, and the field stays only so
+// existing clients of the wire type keep compiling.
 type ScanResp struct {
 	IDs    []int   `json:"ids"`
 	Vals   []int64 `json:"vals"`
@@ -216,7 +177,7 @@ type ResizeResp struct {
 
 // ErrorResp is every non-2xx body: a human-readable error plus the stable
 // machine code (snapshot.CodeBadComponent, snapshot.CodeBadResize,
-// "bad_request", "internal").
+// snapshot.CodeTooLarge, "bad_request", "internal").
 type ErrorResp struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
@@ -238,10 +199,6 @@ type StatsResp struct {
 	ResizeBusy  uint64 `json:"resize_busy"`
 	Internal    uint64 `json:"internal_errors"`
 
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	CacheStores uint64 `json:"cache_stores"`
-
 	RecordedOps     int             `json:"recorded_ops"`
 	RecordingClosed bool            `json:"recording_closed"`
 	ObjectStats     *snapshot.Stats `json:"object_stats,omitempty"`
@@ -259,8 +216,10 @@ type ConformanceResp struct {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
+	wb := getWireBuf()
+	defer putWireBuf(wb)
 	var req UpdateReq
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, wb, func(b []byte) error { return wb.dec.update(b, &req) }) {
 		return
 	}
 	ops := req.Ops
@@ -269,7 +228,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, "bad_request", errors.New("update: ids or ops required"))
 			return
 		}
-		ops = []OneOp{{IDs: req.IDs, Vals: req.Vals}}
+		one := [1]OneOp{{IDs: req.IDs, Vals: req.Vals}}
+		ops = one[:]
 	} else if len(req.IDs) != 0 {
 		s.fail(w, http.StatusBadRequest, "bad_request", errors.New("update: ids and ops are mutually exclusive"))
 		return
@@ -286,47 +246,31 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		applied++
 	}
 	s.updates.Add(1)
-	s.reply(w, http.StatusOK, UpdateResp{Applied: applied})
+	wb.out = appendUpdateResp(wb.out[:0], applied)
+	writeBody(w, http.StatusOK, wb.out)
 }
 
-// applyUpdate runs one update through the conformance recorder, the
-// object, and the invalidation clock — in the order the cache's
-// linearizability argument requires: apply, then bump, then (the caller)
-// respond.
+// applyUpdate runs one update through the conformance recorder and the
+// object. ids and vals were decoded for this request alone, so the recorder
+// keeps them as they are.
 func (s *Server) applyUpdate(ids []int, vals []int64) error {
 	tok := s.conf.admit(spec.Update)
 	start := tok.start()
-	err := s.obj.Update(ids, vals)
-	if err != nil {
+	if err := s.obj.Update(ids, vals); err != nil {
 		tok.abort()
 		return err
 	}
-	s.bump(ids)
-	tok.commit(spec.Op[int64]{Kind: spec.Update, Start: start,
-		Comps: append([]int(nil), ids...), Vals: append([]int64(nil), vals...)})
+	tok.commit(spec.Op[int64]{Kind: spec.Update, Start: start, Comps: ids, Vals: vals})
 	s.updateOps.Add(1)
 	return nil
 }
 
-// bump advances the mutation counter of every shard the ids touch.
-func (s *Server) bump(ids []int) {
-	if len(s.counters) == 1 {
-		s.counters[0].n.Add(1)
-		return
-	}
-	last := -1
-	for _, id := range ids {
-		if k := s.shardOf(id); k != last {
-			s.counters[k].n.Add(1)
-			last = k
-		}
-	}
-}
-
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
+	wb := getWireBuf()
+	defer putWireBuf(wb)
 	var req ScanReq
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, wb, func(b []byte) error { return wb.dec.scan(b, &req) }) {
 		return
 	}
 	ids := req.IDs
@@ -335,8 +279,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, "bad_request", errors.New("scan: ids and all are mutually exclusive"))
 			return
 		}
-		n := components(s.obj)
-		ids = make([]int, n)
+		ids = make([]int, s.obj.Components())
 		for i := range ids {
 			ids[i] = i
 		}
@@ -348,39 +291,27 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 
 	tok := s.conf.admit(spec.Scan)
 	start := tok.start()
-
-	key, buckets := s.cacheKey(ids)
-	pre := s.readCounters(buckets)
-	if vals, ok := s.cache.get(key, pre); ok {
-		tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start,
-			Comps: append([]int(nil), ids...), Vals: vals})
-		s.scans.Add(1)
-		s.reply(w, http.StatusOK, ScanResp{IDs: ids, Vals: vals, Cached: true})
-		return
-	}
 	vals, err := s.obj.PartialScan(ids)
 	if err != nil {
 		tok.abort()
 		s.failApplied(w, err, 0)
 		return
 	}
-	if post := s.readCounters(buckets); countersEqual(pre, post) {
-		// No mutation completed in any involved shard across the scan: the
-		// view is current as of `post` and may serve until the counters
-		// move.
-		s.cache.put(key, post, vals)
-	}
-	tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start,
-		Comps: append([]int(nil), ids...), Vals: vals})
+	// ids was decoded (or built) for this request and vals is the scan's
+	// own result: the recorder keeps both as they are.
+	tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start, Comps: ids, Vals: vals})
 	s.scans.Add(1)
-	s.reply(w, http.StatusOK, ScanResp{IDs: ids, Vals: vals})
+	wb.out = appendScanResp(wb.out[:0], ids, vals)
+	writeBody(w, http.StatusOK, wb.out)
 }
 
 func (s *Server) handleResize(grow bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
+		wb := getWireBuf()
+		defer putWireBuf(wb)
 		var req ResizeReq
-		if !s.decode(w, r, &req) {
+		if !s.decode(w, r, wb, func(b []byte) error { return wb.dec.resize(b, &req) }) {
 			return
 		}
 		kind, apply := spec.Shrink, s.obj.Shrink
@@ -395,11 +326,6 @@ func (s *Server) handleResize(grow bool) http.HandlerFunc {
 			s.failApplied(w, err, 0)
 			return
 		}
-		// A resize mutates the component range: every cached view whose
-		// validity depends on the range (removed components, fresh zeroes)
-		// lives in the resized shard's bucket — the last shard for the
-		// Sharded store, the single bucket otherwise.
-		s.counters[len(s.counters)-1].n.Add(1)
 		tok.commit(spec.Op[int64]{Kind: kind, Start: start, Delta: req.Delta, Size: n})
 		s.resizes.Add(1)
 		s.reply(w, http.StatusOK, ResizeResp{Components: n})
@@ -414,7 +340,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := StatsResp{
 		Impl:        string(s.impl),
-		Components:  components(s.obj),
+		Components:  s.obj.Components(),
 		Requests:    s.requests.Load(),
 		UpdateReqs:  s.updates.Load(),
 		UpdateOps:   s.updateOps.Load(),
@@ -424,12 +350,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rejected:    s.rejected.Load(),
 		ResizeBusy:  s.resizeBusy.Load(),
 		Internal:    s.internal.Load(),
-		CacheHits:   s.cache.hits.Load(),
-		CacheMisses: s.cache.misses.Load(),
-		CacheStores: s.cache.stores.Load(),
 	}
 	resp.RecordedOps, resp.RecordingClosed = s.conf.status()
-	if sh, ok := s.obj.(*snapshot.Sharded[int64]); ok {
+	if sh, ok := s.obj.(interface{ NumShards() int }); ok {
 		resp.Shards = sh.NumShards()
 	}
 	if sr, ok := s.obj.(snapshot.StatsReader); ok {
@@ -467,14 +390,49 @@ func (s *Server) Conformance() (ConformanceResp, error) {
 
 // ---- plumbing ----
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
+// wireBuf is one request's pooled codec state: the body read buffer, the
+// reply buffer and the decoder's scratch.
+type wireBuf struct {
+	in  bytes.Buffer
+	out []byte
+	dec decoder
+}
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// maxPooledBuf bounds the buffers a wireBuf keeps across requests, so one
+// large body does not pin its buffer in the pool.
+const maxPooledBuf = 64 << 10
+
+func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
+
+func putWireBuf(wb *wireBuf) {
+	if wb.in.Cap() > maxPooledBuf || cap(wb.out) > maxPooledBuf {
+		return
+	}
+	wireBufs.Put(wb)
+}
+
+// decode checks the method, reads the body into wb.in (capped at
+// MaxBodyBytes) and hands it to parse. On any failure it has answered the
+// request and returns false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, parse func([]byte) error) bool {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("%s not allowed", r.Method))
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	wb.in.Reset()
+	if _, err := wb.in.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.fail(w, http.StatusRequestEntityTooLarge, snapshot.CodeTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes))
+			return false
+		}
+		s.fail(w, http.StatusBadRequest, "bad_request", fmt.Errorf("reading request body: %w", err))
+		return false
+	}
+	if err := parse(wb.in.Bytes()); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad request body: %w", err))
 		return false
 	}
@@ -498,7 +456,7 @@ func (s *Server) failApplied(w http.ResponseWriter, err error, applied int) {
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, code string, err error) {
-	if status == http.StatusBadRequest || status == http.StatusMethodNotAllowed {
+	if status < http.StatusInternalServerError {
 		s.badRequests.Add(1)
 	} else {
 		s.internal.Add(1)
@@ -507,97 +465,32 @@ func (s *Server) fail(w http.ResponseWriter, status int, code string, err error)
 }
 
 func (s *Server) failBody(w http.ResponseWriter, status int, code string, err error, applied int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	body := struct {
+	s.reply(w, status, struct {
 		ErrorResp
 		Applied int `json:"applied,omitempty"`
-	}{ErrorResp{Error: err.Error(), Code: code}, applied}
-	_ = json.NewEncoder(w).Encode(body)
+	}{ErrorResp{Error: err.Error(), Code: code}, applied})
 }
 
+// reply encodes a body off the hot path (errors, resizes, /stats,
+// /conformance) with encoding/json.
 func (s *Server) reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	data, err := json.Marshal(body)
+	if err != nil {
+		// Every body is one of this package's wire types, which always
+		// marshal; a failure here is a bug.
+		panic(fmt.Sprintf("server: encoding %T: %v", body, err))
+	}
+	writeBody(w, status, append(data, '\n'))
+}
+
+// writeBody sends one JSON body with an explicit Content-Length in a single
+// Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// cacheKey canonicalises an id set into a cache key and the sorted list of
-// counter buckets it involves.
-func (s *Server) cacheKey(ids []int) (string, []int) {
-	var b strings.Builder
-	seen := make(map[int]bool, 4)
-	var buckets []int
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(id))
-		if k := s.shardOf(id); !seen[k] {
-			seen[k] = true
-			buckets = append(buckets, k)
-		}
-	}
-	sort.Ints(buckets)
-	return b.String(), buckets
-}
-
-func (s *Server) readCounters(buckets []int) []uint64 {
-	out := make([]uint64, len(buckets))
-	for i, k := range buckets {
-		out[i] = s.counters[k].n.Load()
-	}
-	return out
-}
-
-func countersEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanCache maps canonical id sets to counter-stamped views.
-type scanCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*cacheEntry
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	stores  atomic.Uint64
-}
-
-type cacheEntry struct {
-	stamps []uint64
-	vals   []int64
-}
-
-// get serves key's view if its stamp vector equals now (the involved
-// shards' counters have not moved since the view was taken).
-func (c *scanCache) get(key string, now []uint64) ([]int64, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok && countersEqual(e.stamps, now) {
-		c.hits.Add(1)
-		return e.vals, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-func (c *scanCache) put(key string, stamps []uint64, vals []int64) {
-	c.mu.Lock()
-	if len(c.entries) >= c.max {
-		// Reset rather than evict: the keys recur, the rebuild is cheap,
-		// and correctness never depends on the cache's contents.
-		c.entries = make(map[string]*cacheEntry, c.max/4)
-	}
-	c.entries[key] = &cacheEntry{stamps: stamps, vals: vals}
-	c.mu.Unlock()
-	c.stores.Add(1)
+	_, _ = w.Write(body)
 }
 
 // conformance is the bounded-prefix recorder: every operation records

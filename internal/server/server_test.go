@@ -77,7 +77,7 @@ func wantStatus(t *testing.T, resp *http.Response, body []byte, status int, code
 // TestHandlerRoundTrip drives the happy path over every endpoint: update,
 // partial scan, full scan, batch update, grow, shrink, stats.
 func TestHandlerRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 
 	resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{0, 7}, Vals: []int64{10, 70}})
 	wantStatus(t, resp, body, http.StatusOK, "")
@@ -134,22 +134,23 @@ func TestHandlerRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Impl != "sharded" || st.Shards != 4 || st.Components != 8 {
+	if st.Impl != "lockfree" || st.Shards != 0 || st.Components != 8 {
 		t.Fatalf("stats identity wrong: %+v", st)
 	}
 	if st.UpdateOps != 4 || st.Scans != 2 || st.Resizes != 2 {
 		t.Fatalf("stats counters wrong: %+v", st)
 	}
 	if st.ObjectStats == nil {
-		t.Fatalf("sharded store exposed no object stats")
+		t.Fatalf("lockfree store exposed no object stats")
 	}
 }
 
 // TestHandlerErrorTaxonomy pins the wire mapping: malformed JSON and
 // unknown fields are 400 bad_request, out-of-range ids 400 bad_component,
-// infeasible resizes 409 bad_resize, wrong methods 405.
+// infeasible resizes 409 bad_resize, bodies over MaxBodyBytes 413
+// too_large, wrong methods 405.
 func TestHandlerErrorTaxonomy(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 
 	resp, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader("{not json"))
 	if err != nil {
@@ -175,11 +176,35 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 	resp2, body = post(t, ts, "/scan", ScanReq{})
 	wantStatus(t, resp2, body, http.StatusBadRequest, "bad_request")
 
-	// Shrink below the sharded geometry floor: a resize conflict, 409.
-	resp2, body = post(t, ts, "/shrink", ResizeReq{Delta: 5})
+	// Shrinking away every component: a resize conflict, 409.
+	resp2, body = post(t, ts, "/shrink", ResizeReq{Delta: 8})
 	wantStatus(t, resp2, body, http.StatusConflict, snapshot.CodeBadResize)
 	resp2, body = post(t, ts, "/grow", ResizeReq{Delta: 0})
 	wantStatus(t, resp2, body, http.StatusConflict, snapshot.CodeBadResize)
+
+	// One byte over the cap, on every endpoint that reads a body: 413,
+	// whatever the body would have decoded to.
+	huge := `{"ids":[` + strings.Repeat(" ", MaxBodyBytes) + `0]}`
+	for _, path := range []string{"/scan", "/update", "/grow", "/shrink"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		wantStatus(t, resp, buf.Bytes(), http.StatusRequestEntityTooLarge, snapshot.CodeTooLarge)
+	}
+	// Exactly at the cap is still decoded.
+	atCap := `{"ids":[` + strings.Repeat(" ", MaxBodyBytes-len(`{"ids":[0]}`)) + `0]}`
+	resp, err = http.Post(ts.URL+"/scan", "application/json", strings.NewReader(atCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	_, _ = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	wantStatus(t, resp, buf.Bytes(), http.StatusOK, "")
 
 	resp3, err := http.Get(ts.URL + "/update")
 	if err != nil {
@@ -191,68 +216,12 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 	wantStatus(t, resp3, buf.Bytes(), http.StatusMethodNotAllowed, "bad_request")
 }
 
-// TestScanCache exercises the counter-guarded cache: a repeated scan is
-// served cached, any update to an involved shard invalidates it, and an
-// update to a DIFFERENT shard does not — the serving layer's slice of the
-// disjoint-access property.
-func TestScanCache(t *testing.T) {
-	srv, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
-
-	scan := func(ids []int) ScanResp {
-		t.Helper()
-		resp, body := post(t, ts, "/scan", ScanReq{IDs: ids})
-		wantStatus(t, resp, body, http.StatusOK, "")
-		var sc ScanResp
-		if err := json.Unmarshal(body, &sc); err != nil {
-			t.Fatal(err)
-		}
-		return sc
-	}
-	update := func(id int, v int64) {
-		t.Helper()
-		resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{id}, Vals: []int64{v}})
-		wantStatus(t, resp, body, http.StatusOK, "")
-	}
-
-	update(0, 1)
-	if sc := scan([]int{0, 1}); sc.Cached {
-		t.Fatalf("first scan served from an empty cache")
-	}
-	if sc := scan([]int{0, 1}); !sc.Cached || sc.Vals[0] != 1 {
-		t.Fatalf("repeat scan not cached: %+v", sc)
-	}
-	// Shard 3 update: the {0,1} view (shard 0) must stay cached.
-	update(7, 7)
-	if sc := scan([]int{0, 1}); !sc.Cached {
-		t.Fatalf("disjoint-shard update invalidated the cached view")
-	}
-	// Shard 0 update: now it must be invalidated AND the fresh value served.
-	update(1, 5)
-	sc := scan([]int{0, 1})
-	if sc.Cached || sc.Vals[1] != 5 {
-		t.Fatalf("involved-shard update not reflected: %+v", sc)
-	}
-	// A resize invalidates views involving the last shard.
-	if sc := scan([]int{6, 7}); sc.Cached {
-		t.Fatalf("fresh scan cached flag set")
-	}
-	resp, body := post(t, ts, "/grow", ResizeReq{Delta: 1})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	if sc := scan([]int{6, 7}); sc.Cached {
-		t.Fatalf("resize did not invalidate the last shard's cached view")
-	}
-	if hits := srv.cache.hits.Load(); hits < 2 {
-		t.Fatalf("cache hits %d, want >= 2", hits)
-	}
-}
-
 // TestConformanceOverConcurrentTraffic hammers the server with concurrent
-// writers and scanners (cache on, batches mixed in), then requires the
-// recorded prefix to pass spec.Check via the /conformance endpoint — the
-// oracle proving the whole serving stack (routing, batching, cache)
-// linearizes.
+// writers and scanners (batches mixed in), then requires the recorded
+// prefix to pass spec.Check via the /conformance endpoint — the oracle
+// proving the whole serving stack (codec, batching, recording) linearizes.
 func TestConformanceOverConcurrentTraffic(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 	client := ts.Client()
 
 	var wg sync.WaitGroup
@@ -350,45 +319,6 @@ func TestConformanceRecordingCloses(t *testing.T) {
 	}
 }
 
-// TestStaleCacheWouldBeConvicted is the oracle's mutation test: serve one
-// deliberately stale cached view and the conformance check must fail. It
-// reaches into the cache to plant the corruption — the point is that the
-// machinery convicts, not how the corruption arose.
-func TestStaleCacheWouldBeConvicted(t *testing.T) {
-	srv, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
-
-	resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{0}, Vals: []int64{1}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	resp, body = post(t, ts, "/scan", ScanReq{IDs: []int{0}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	resp, body = post(t, ts, "/update", UpdateReq{IDs: []int{0}, Vals: []int64{2}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-
-	// Plant the bug: revalidate the pre-update view at the current counter,
-	// as a broken invalidation protocol would.
-	srv.cache.mu.Lock()
-	for _, e := range srv.cache.entries {
-		e.stamps = []uint64{srv.counters[0].n.Load()}
-		e.vals = []int64{1} // the overwritten value
-	}
-	srv.cache.mu.Unlock()
-
-	resp, body = post(t, ts, "/scan", ScanReq{IDs: []int{0}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	var sc ScanResp
-	if err := json.Unmarshal(body, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Cached || sc.Vals[0] != 1 {
-		t.Fatalf("the planted stale view was not served (%+v); the conviction below would be vacuous", sc)
-	}
-	if _, err := srv.Conformance(); err == nil {
-		t.Fatalf("spec.Check accepted a history containing a stale cached read")
-	} else {
-		t.Logf("convicted as designed: %v", err)
-	}
-}
-
 // TestServerOverEveryImpl smoke-runs the server over each factory
 // implementation — the serving layer must not depend on the store being
 // sharded.
@@ -409,6 +339,65 @@ func TestServerOverEveryImpl(t *testing.T) {
 			}
 			resp, body = get(t, ts, "/conformance")
 			wantStatus(t, resp, body, http.StatusOK, "")
+			resp, body = get(t, ts, "/stats")
+			wantStatus(t, resp, body, http.StatusOK, "")
+			var st StatsResp
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Components != 8 || (impl == snapshot.ImplSharded) != (st.Shards > 0) {
+				t.Fatalf("%s /stats: %d components, %d shards", impl, st.Components, st.Shards)
+			}
 		})
 	}
+}
+
+// staleScans is a deliberately broken store: after its first scan it
+// serves that view forever, as a cache that is never invalidated would.
+type staleScans struct {
+	snapshot.Object[int64]
+	mu   sync.Mutex
+	view []int64
+}
+
+func (o *staleScans) PartialScan(ids []int) ([]int64, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.view == nil {
+		vals, err := o.Object.PartialScan(ids)
+		if err != nil {
+			return nil, err
+		}
+		o.view = vals
+	}
+	return append([]int64(nil), o.view...), nil
+}
+
+// TestConformanceConvictsStaleReads is the oracle's mutation test: a store
+// that serves one stale view must fail /conformance, so a green verdict
+// over real traffic means something.
+func TestConformanceConvictsStaleReads(t *testing.T) {
+	obj, err := snapshot.New[int64](snapshot.ImplLockFree, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(&staleScans{Object: obj}, snapshot.ImplLockFree, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, step := range []struct {
+		path string
+		body any
+	}{
+		{"/update", UpdateReq{IDs: []int{0}, Vals: []int64{1}}},
+		{"/scan", ScanReq{IDs: []int{0}}},
+		{"/update", UpdateReq{IDs: []int{0}, Vals: []int64{2}}},
+		{"/scan", ScanReq{IDs: []int{0}}}, // served the overwritten 1
+	} {
+		resp, body := post(t, ts, step.path, step.body)
+		wantStatus(t, resp, body, http.StatusOK, "")
+	}
+	resp, body := get(t, ts, "/conformance")
+	wantStatus(t, resp, body, http.StatusInternalServerError, "conformance_failed")
+	t.Logf("convicted as designed: %s", body)
 }

@@ -24,8 +24,7 @@ const (
 	// ImplRWMutex is the coarse-grained reference implementation (RWMutex).
 	ImplRWMutex Impl = "rwmutex"
 	// ImplSharded partitions the component space across independent
-	// lock-free (or versioned) shards (Sharded) — the serving layer's
-	// store.
+	// lock-free (or versioned) shards (Sharded).
 	ImplSharded Impl = "sharded"
 )
 
@@ -195,6 +194,9 @@ const (
 	CodeBadComponent = "bad_component"
 	// CodeBadResize is ErrBadResize's wire code.
 	CodeBadResize = "bad_resize"
+	// CodeTooLarge is the transport's code for a request body over the
+	// serving layer's size cap (HTTP 413); no Object error maps to it.
+	CodeTooLarge = "too_large"
 )
 
 // ErrorCode maps an error returned by any Object method to its stable wire

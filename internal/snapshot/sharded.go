@@ -9,7 +9,7 @@ import (
 )
 
 // Sharded partitions the component space across independent inner snapshot
-// objects — the serving layer's store. Component id c lives in shard
+// objects. Component id c lives in shard
 // min(c/width, shards-1) under local id c - shard*width: shard geometry is
 // fixed at construction (width = n/shards, the last shard absorbing the
 // remainder and all future growth), so routing is one division and never

@@ -272,6 +272,22 @@ func Check[V comparable](n int, ops []Op[V]) error {
 		}
 		sufMinEnd[c] = suf
 	}
+	// Index the writes of every component with more than linearScanMax of
+	// them by value, so matching an observed value costs a map lookup, not
+	// a pass over the component's whole write history.
+	byVal := make([]*valueIndex[V], limit)
+	for c, ws := range perComp {
+		if len(ws) > linearScanMax {
+			byVal[c] = newValueIndex(ws)
+		}
+	}
+	// Scratch reused across scans, so checking a scan allocates nothing:
+	// flat collects every observed component's feasibility windows (one
+	// per candidate write of the observed value, clipped to the scan), and
+	// cands holds one view into flat per component.
+	var flat []interval
+	var ends []int
+	var cands [][]interval
 	for si, op := range ops {
 		if op.Kind != Scan {
 			continue
@@ -279,41 +295,42 @@ func Check[V comparable](n int, ops []Op[V]) error {
 		if len(op.Vals) != len(op.Comps) {
 			return fmt.Errorf("spec: malformed scan op: %d values for %d components", len(op.Vals), len(op.Comps))
 		}
-		// Per observed component, the set of feasibility windows (one per
-		// candidate write of the observed value), clipped to the scan.
-		cands := make([][]interval, len(op.Comps))
+		flat, ends = flat[:0], ends[:0]
 		for i, c := range op.Comps {
 			if c < 0 || c >= limit {
 				return fmt.Errorf("spec: scan names component %d out of range [0,%d)", c, limit)
 			}
 			v := op.Vals[i]
-			var ivs []interval
+			first := len(flat)
 			if v == zero {
 				// Initial value: plausible until any write definitely completed.
-				ivs = append(ivs, interval{lo: math.MinInt64, hi: sufMinEnd[c][0]})
+				flat = appendClipped(flat, interval{lo: math.MinInt64, hi: sufMinEnd[c][0]}, op.Start, op.End)
 			}
-			ws := perComp[c]
-			for _, w := range ws {
-				if w.val != v {
-					continue
+			ws, suf := perComp[c], sufMinEnd[c]
+			if idx := byVal[c]; idx != nil {
+				for j, ok := idx.head[v]; ok && j >= 0; j = idx.next[j] {
+					flat = appendClipped(flat, window(ws, suf, int(j)), op.Start, op.End)
 				}
-				// First write definitely after w: start > w.end.
-				k := sort.Search(len(ws), func(j int) bool { return ws[j].start > w.end })
-				ivs = append(ivs, interval{lo: w.start, hi: sufMinEnd[c][k]})
-			}
-			var clipped []interval
-			for _, iv := range ivs {
-				lo := max(iv.lo, op.Start)
-				hi := min(iv.hi, op.End)
-				if lo <= hi {
-					clipped = append(clipped, interval{lo: lo, hi: hi})
+			} else {
+				for j := range ws {
+					if ws[j].val == v {
+						flat = appendClipped(flat, window(ws, suf, j), op.Start, op.End)
+					}
 				}
 			}
-			if len(clipped) == 0 {
+			if len(flat) == first {
 				return fmt.Errorf("spec: scan %d (interval [%d,%d]) observed %v on component %d, which no admissible write produced",
 					si, op.Start, op.End, v, c)
 			}
-			cands[i] = clipped
+			ends = append(ends, len(flat))
+		}
+		cands = cands[:0]
+		for k, e := range ends {
+			from := 0
+			if k > 0 {
+				from = ends[k-1]
+			}
+			cands = append(cands, flat[from:e])
 		}
 		if !commonInstant(cands) {
 			return fmt.Errorf("spec: scan %d (interval [%d,%d]) over components %v observed %v: no single instant admits all values (torn scan)",
@@ -321,6 +338,48 @@ func Check[V comparable](n int, ops []Op[V]) error {
 		}
 	}
 	return nil
+}
+
+// linearScanMax is the most writes a component may have for Check to find
+// an observed value's writes by scanning them all; more, and it indexes
+// them by value.
+const linearScanMax = 16
+
+// valueIndex chains a component's writes by value: head maps a value to
+// its first write (in start order), and next[j] is the write after j with
+// the same value, or -1.
+type valueIndex[V comparable] struct {
+	head map[V]int32
+	next []int32
+}
+
+func newValueIndex[V comparable](ws []write[V]) *valueIndex[V] {
+	idx := &valueIndex[V]{head: make(map[V]int32), next: make([]int32, len(ws))}
+	for j := len(ws) - 1; j >= 0; j-- {
+		idx.next[j] = -1
+		if h, ok := idx.head[ws[j].val]; ok {
+			idx.next[j] = h
+		}
+		idx.head[ws[j].val] = int32(j)
+	}
+	return idx
+}
+
+// window is write j's feasibility window: from its start until the
+// earliest write definitely after it (start > its end) has ended.
+func window[V comparable](ws []write[V], sufMinEnd []int64, j int) interval {
+	k := sort.Search(len(ws), func(i int) bool { return ws[i].start > ws[j].end })
+	return interval{lo: ws[j].start, hi: sufMinEnd[k]}
+}
+
+// appendClipped appends iv clipped to [start, end], if anything of it is
+// left.
+func appendClipped(ivs []interval, iv interval, start, end int64) []interval {
+	lo, hi := max(iv.lo, start), min(iv.hi, end)
+	if lo > hi {
+		return ivs
+	}
+	return append(ivs, interval{lo: lo, hi: hi})
 }
 
 // CheckProvenance verifies the helping metadata of a history: every scan
@@ -373,29 +432,25 @@ func intersect(a, b []int) bool {
 // interval of every component's candidate list. Candidate instants are the
 // interval lower bounds (coverage can only begin at a lower bound).
 func commonInstant(cands [][]interval) bool {
-	var points []int64
-	for _, ivs := range cands {
-		for _, iv := range ivs {
-			points = append(points, iv.lo)
-		}
-	}
-	for _, t := range points {
-		ok := true
-		for _, ivs := range cands {
-			covered := false
-			for _, iv := range ivs {
-				if iv.lo <= t && t <= iv.hi {
-					covered = true
+	for _, lows := range cands {
+		for _, cand := range lows {
+			t, ok := cand.lo, true
+			for _, ivs := range cands {
+				covered := false
+				for _, iv := range ivs {
+					if iv.lo <= t && t <= iv.hi {
+						covered = true
+						break
+					}
+				}
+				if !covered {
+					ok = false
 					break
 				}
 			}
-			if !covered {
-				ok = false
-				break
+			if ok {
+				return true
 			}
-		}
-		if ok {
-			return true
 		}
 	}
 	return false

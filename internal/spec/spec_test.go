@@ -100,6 +100,32 @@ func TestCheckRejectsOverwrittenRead(t *testing.T) {
 	}
 }
 
+// TestCheckLongWriteHistories covers components with more writes than
+// Check scans linearly, where it finds an observed value's writes through
+// its by-value index: values recur, so a value's candidate writes form a
+// chain, and only the latest write of the value may explain a read.
+func TestCheckLongWriteHistories(t *testing.T) {
+	var ops []spec.Op[int64]
+	var ts int64
+	for k := 0; k < 40; k++ {
+		v := int64(k%4 + 1)
+		ops = append(ops,
+			spec.Op[int64]{Kind: spec.Update, Start: ts + 1, End: ts + 2, Comps: []int{0}, Vals: []int64{v}},
+			spec.Op[int64]{Kind: spec.Scan, Start: ts + 3, End: ts + 4, Comps: []int{0}, Vals: []int64{v}})
+		ts += 4
+	}
+	if err := spec.Check(1, ops); err != nil {
+		t.Fatalf("sequential history with recurring values rejected: %v", err)
+	}
+	// The last write was 4; 3 was written often, but each time definitely
+	// overwritten before this scan began.
+	stale := append(ops[:len(ops):len(ops)],
+		spec.Op[int64]{Kind: spec.Scan, Start: ts + 1, End: ts + 2, Comps: []int{0}, Vals: []int64{3}})
+	if err := spec.Check(1, stale); err == nil {
+		t.Fatal("read of a definitely overwritten recurring value accepted")
+	}
+}
+
 func TestCheckRejectsTornScan(t *testing.T) {
 	// Two components, each rewritten by a (completed) update, then a later
 	// pair of completed updates. A scan that mixes the first round's value
