@@ -260,8 +260,10 @@ func Check[V comparable](n int, ops []Op[V]) error {
 	}
 	// Sort each component's writes by start and precompute the suffix
 	// minimum of end times, so "earliest definite overwrite after w" is a
-	// binary search away.
+	// binary search away, and the prefix maximum of end times, so a scan can
+	// tell when every write up to some index had completed by an instant.
 	sufMinEnd := make([][]int64, limit)
+	preMaxEnd := make([][]int64, limit)
 	for c := range perComp {
 		ws := perComp[c]
 		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
@@ -270,16 +272,14 @@ func Check[V comparable](n int, ops []Op[V]) error {
 		for i := len(ws) - 1; i >= 0; i-- {
 			suf[i] = min(suf[i+1], ws[i].end)
 		}
-		sufMinEnd[c] = suf
-	}
-	// Index the writes of every component with more than linearScanMax of
-	// them by value, so matching an observed value costs a map lookup, not
-	// a pass over the component's whole write history.
-	byVal := make([]*valueIndex[V], limit)
-	for c, ws := range perComp {
-		if len(ws) > linearScanMax {
-			byVal[c] = newValueIndex(ws)
+		pre := make([]int64, len(ws))
+		for i := range ws {
+			pre[i] = ws[i].end
+			if i > 0 {
+				pre[i] = max(pre[i-1], ws[i].end)
+			}
 		}
+		sufMinEnd[c], preMaxEnd[c] = suf, pre
 	}
 	// Scratch reused across scans, so checking a scan allocates nothing:
 	// flat collects every observed component's feasibility windows (one
@@ -306,16 +306,20 @@ func Check[V comparable](n int, ops []Op[V]) error {
 				// Initial value: plausible until any write definitely completed.
 				flat = appendClipped(flat, interval{lo: math.MinInt64, hi: sufMinEnd[c][0]}, op.Start, op.End)
 			}
-			ws, suf := perComp[c], sufMinEnd[c]
-			if idx := byVal[c]; idx != nil {
-				for j, ok := idx.head[v]; ok && j >= 0; j = idx.next[j] {
-					flat = appendClipped(flat, window(ws, suf, int(j)), op.Start, op.End)
+			// Walk back from the last write that started by the scan's end.
+			// A write j's window closes by the end of any write m that
+			// started after j ended, so once the walk has passed a write m
+			// that ended before the scan started, every earlier write that
+			// ended before m started is overwritten before the scan, and
+			// the walk stops when all writes up to j have (pre[j] < cut).
+			ws, suf, pre := perComp[c], sufMinEnd[c], preMaxEnd[c]
+			cut := int64(math.MinInt64)
+			for j := sort.Search(len(ws), func(i int) bool { return ws[i].start > op.End }) - 1; j >= 0 && pre[j] >= cut; j-- {
+				if ws[j].val == v {
+					flat = appendClipped(flat, window(ws, suf, j), op.Start, op.End)
 				}
-			} else {
-				for j := range ws {
-					if ws[j].val == v {
-						flat = appendClipped(flat, window(ws, suf, j), op.Start, op.End)
-					}
+				if ws[j].end < op.Start {
+					cut = max(cut, ws[j].start)
 				}
 			}
 			if len(flat) == first {
@@ -338,31 +342,6 @@ func Check[V comparable](n int, ops []Op[V]) error {
 		}
 	}
 	return nil
-}
-
-// linearScanMax is the most writes a component may have for Check to find
-// an observed value's writes by scanning them all; more, and it indexes
-// them by value.
-const linearScanMax = 16
-
-// valueIndex chains a component's writes by value: head maps a value to
-// its first write (in start order), and next[j] is the write after j with
-// the same value, or -1.
-type valueIndex[V comparable] struct {
-	head map[V]int32
-	next []int32
-}
-
-func newValueIndex[V comparable](ws []write[V]) *valueIndex[V] {
-	idx := &valueIndex[V]{head: make(map[V]int32), next: make([]int32, len(ws))}
-	for j := len(ws) - 1; j >= 0; j-- {
-		idx.next[j] = -1
-		if h, ok := idx.head[ws[j].val]; ok {
-			idx.next[j] = h
-		}
-		idx.head[ws[j].val] = int32(j)
-	}
-	return idx
 }
 
 // window is write j's feasibility window: from its start until the

@@ -100,10 +100,11 @@ func TestCheckRejectsOverwrittenRead(t *testing.T) {
 	}
 }
 
-// TestCheckLongWriteHistories covers components with more writes than
-// Check scans linearly, where it finds an observed value's writes through
-// its by-value index: values recur, so a value's candidate writes form a
-// chain, and only the latest write of the value may explain a read.
+// TestCheckLongWriteHistories covers components with many writes, where
+// Check walks back from each scan only as far as a write may still explain
+// the read: a recurring value is admissible only through its latest write,
+// but a long write that overlaps all the later ones stays admissible
+// however many writes lie between it and the scan.
 func TestCheckLongWriteHistories(t *testing.T) {
 	var ops []spec.Op[int64]
 	var ts int64
@@ -123,6 +124,22 @@ func TestCheckLongWriteHistories(t *testing.T) {
 		spec.Op[int64]{Kind: spec.Scan, Start: ts + 1, End: ts + 2, Comps: []int{0}, Vals: []int64{3}})
 	if err := spec.Check(1, stale); err == nil {
 		t.Fatal("read of a definitely overwritten recurring value accepted")
+	}
+
+	// A write of 100 that spans every other write may take effect after
+	// the last of them, so a scan before it returns may read 100 ...
+	long := spec.Op[int64]{Kind: spec.Update, Start: 0, End: ts + 10, Comps: []int{0}, Vals: []int64{100}}
+	late := append([]spec.Op[int64]{long}, ops...)
+	late = append(late, spec.Op[int64]{Kind: spec.Scan, Start: ts + 1, End: ts + 2, Comps: []int{0}, Vals: []int64{100}})
+	if err := spec.Check(1, late); err != nil {
+		t.Fatalf("read of a write still in flight behind %d later writes rejected: %v", len(ops)/2, err)
+	}
+	// ... but not once a later write has completed after it.
+	late = append(late,
+		spec.Op[int64]{Kind: spec.Update, Start: ts + 11, End: ts + 12, Comps: []int{0}, Vals: []int64{5}},
+		spec.Op[int64]{Kind: spec.Scan, Start: ts + 13, End: ts + 14, Comps: []int{0}, Vals: []int64{100}})
+	if err := spec.Check(1, late); err == nil {
+		t.Fatal("read of an overwritten long write accepted")
 	}
 }
 
