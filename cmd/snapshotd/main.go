@@ -5,6 +5,13 @@
 // set. -impl selects any other snapshot.Impls() store; see internal/server
 // for the endpoint and correctness surface.
 //
+// It serves on internal/server's own HTTP/1.1 connection loop, not on
+// net/http's server: keep-alive, pipelining, Connection: close, HTTP/1.0
+// and Expect: 100-continue, with bodies framed by Content-Length only
+// (chunked bodies are answered 411). Each request has 10 s to arrive, head
+// and body, and 10 s for its reply to be written, and an idle connection
+// is closed after 2 minutes; these limits are constants, not flags.
+//
 //	snapshotd -addr 127.0.0.1:8080 -components 64
 //
 // On SIGINT/SIGTERM the daemon drains in-flight requests, runs the
@@ -21,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -75,13 +81,9 @@ func run(addr, impl string, components, shards int, shardImpl string, attempts, 
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	errCh := make(chan error, 1)
 	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		if err := srv.Serve(ln); !errors.Is(err, server.ErrServerClosed) {
 			errCh <- err
 		}
 	}()
@@ -99,7 +101,7 @@ func run(addr, impl string, components, shards int, shardImpl string, attempts, 
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	// The shutdown conformance hook: the drained history must pass the

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,27 +77,20 @@ type Report struct {
 	Errors4xx uint64 `json:"errors_4xx"`
 
 	// Latency percentiles over every request's wall time, in milliseconds,
-	// plus a fixed exponential-bucket histogram for trajectory diffing.
+	// read from the merged Histogram (within 1/32 above the true value;
+	// the maximum is exact), plus the histogram's non-empty buckets and its
+	// overflow bucket.
 	LatencyP50Ms float64           `json:"latency_p50_ms"`
 	LatencyP95Ms float64           `json:"latency_p95_ms"`
 	LatencyP99Ms float64           `json:"latency_p99_ms"`
 	LatencyMaxMs float64           `json:"latency_max_ms"`
 	Histogram    []HistogramBucket `json:"latency_histogram"`
+	Overflow     OverflowBucket    `json:"latency_overflow"`
 
 	// Conformance is the server's end-of-run spec.Check verdict (nil when
 	// skipped).
 	Conformance *server.ConformanceResp `json:"conformance,omitempty"`
 }
-
-// HistogramBucket counts requests with latency <= UpToMs (the last bucket
-// is unbounded, UpToMs = 0).
-type HistogramBucket struct {
-	UpToMs float64 `json:"up_to_ms"`
-	Count  uint64  `json:"count"`
-}
-
-// bucketBounds is the fixed latency histogram shape, in ms.
-var bucketBounds = []float64{0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 250}
 
 // Run executes one closed-loop load run. It fails fast on config errors
 // and connectivity (a /healthz probe); in-run HTTP errors are counted,
@@ -168,7 +160,7 @@ func Run(cfg Config) (Report, error) {
 	elapsed := time.Since(start)
 
 	rep := Report{Config: cfg, GeneratedAt: time.Now().UTC().Format(time.RFC3339), ElapsedSec: elapsed.Seconds()}
-	var all []float64
+	var lat Histogram
 	for i := range workers {
 		ws := &workers[i]
 		rep.Requests += ws.requests
@@ -178,12 +170,14 @@ func Run(cfg Config) (Report, error) {
 		rep.Rejected += ws.rejected
 		rep.Errors5xx += ws.errors5xx
 		rep.Errors4xx += ws.errors4xx
-		all = append(all, ws.latencies...)
+		lat.Merge(&ws.latency)
 	}
 	rep.Ops = rep.UpdateOps + rep.ScanOps + rep.ResizeOps
 	rep.OpsPerSec = float64(rep.Ops) / rep.ElapsedSec
-	rep.LatencyP50Ms, rep.LatencyP95Ms, rep.LatencyP99Ms, rep.LatencyMaxMs = percentiles(all)
-	rep.Histogram = histogram(all)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	rep.LatencyP50Ms, rep.LatencyP95Ms = ms(lat.Quantile(0.50)), ms(lat.Quantile(0.95))
+	rep.LatencyP99Ms, rep.LatencyMaxMs = ms(lat.Quantile(0.99)), ms(lat.Max())
+	rep.Histogram, rep.Overflow = lat.Buckets()
 
 	if !cfg.SkipConformance {
 		cr, err := fetchConformance(client, cfg.BaseURL)
@@ -195,12 +189,12 @@ func Run(cfg Config) (Report, error) {
 	return rep, nil
 }
 
-// workerState is one connection worker's tallies; padded out by the slice
-// header distance, contended never (each worker owns its element).
+// workerState is one connection worker's tallies; contended never (each
+// worker owns its element).
 type workerState struct {
 	requests, updates, scans, resizes uint64
 	rejected, errors5xx, errors4xx    uint64
-	latencies                         []float64
+	latency                           Histogram
 }
 
 // runWorker replays one stream until stop, batching consecutive updates.
@@ -276,7 +270,7 @@ func (ws *workerState) do(client *http.Client, url string, body any, tolerateRej
 		return 0
 	}
 	ws.requests++
-	ws.latencies = append(ws.latencies, float64(time.Since(t0).Microseconds())/1000)
+	ws.latency.Record(time.Since(t0))
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	switch {
@@ -349,38 +343,4 @@ func fetchConformance(client *http.Client, base string) (*server.ConformanceResp
 		return nil, errors.New("loadgen: conformance response not OK")
 	}
 	return &cr, nil
-}
-
-func percentiles(ms []float64) (p50, p95, p99, max float64) {
-	if len(ms) == 0 {
-		return 0, 0, 0, 0
-	}
-	sorted := append([]float64(nil), ms...)
-	sort.Float64s(sorted)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return at(0.50), at(0.95), at(0.99), sorted[len(sorted)-1]
-}
-
-func histogram(ms []float64) []HistogramBucket {
-	out := make([]HistogramBucket, len(bucketBounds)+1)
-	for i, b := range bucketBounds {
-		out[i].UpToMs = b
-	}
-	for _, v := range ms {
-		placed := false
-		for i, b := range bucketBounds {
-			if v <= b {
-				out[i].Count++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			out[len(bucketBounds)].Count++
-		}
-	}
-	return out
 }

@@ -1,6 +1,9 @@
 package loadgen
 
 import (
+	"context"
+	"errors"
+	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -9,15 +12,32 @@ import (
 	"partialsnapshot/internal/snapshot"
 )
 
-func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) *httptest.Server {
+// loopback serves a fresh object on snapshotd's connection loop over a
+// loopback port and returns its base URL.
+func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) string {
 	t.Helper()
 	obj, err := snapshot.New[int64](impl, n, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(obj, impl, server.Config{}).Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	srv := server.New(obj, impl, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-done; !errors.Is(err, server.ErrServerClosed) {
+			t.Errorf("Serve returned %v", err)
+		}
+	})
+	return "http://" + ln.Addr().String()
 }
 
 // TestLoopbackRoundTrip is the snapload round trip in miniature: a sharded
@@ -25,13 +45,13 @@ func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) 
 // 5xx, a passing conformance check, and a sane report (all ops accounted,
 // percentiles ordered, histogram totals matching the request count).
 func TestLoopbackRoundTrip(t *testing.T) {
-	ts := loopback(t, snapshot.ImplSharded, 16, snapshot.WithShards(4))
+	base := loopback(t, snapshot.ImplSharded, 16, snapshot.WithShards(4))
 	dur := 500 * time.Millisecond
 	if testing.Short() {
 		dur = 150 * time.Millisecond
 	}
 	rep, err := Run(Config{
-		BaseURL:  ts.URL,
+		BaseURL:  base,
 		Conns:    8,
 		Duration: dur,
 		Scenario: "mixed",
@@ -57,7 +77,7 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	if rep.LatencyP50Ms <= 0 || rep.LatencyP50Ms > rep.LatencyP95Ms || rep.LatencyP95Ms > rep.LatencyP99Ms || rep.LatencyP99Ms > rep.LatencyMaxMs {
 		t.Fatalf("latency percentiles disordered: %+v", rep)
 	}
-	var hist uint64
+	hist := rep.Overflow.Count
 	for _, b := range rep.Histogram {
 		hist += b.Count
 	}
@@ -115,11 +135,11 @@ func TestLoopbackPartitioned(t *testing.T) {
 // TestRunValidation pins the fail-fast surface: bad conns/duration/
 // scenario and an unreachable server are errors before any traffic.
 func TestRunValidation(t *testing.T) {
-	ts := loopback(t, snapshot.ImplRWMutex, 8)
-	base := Config{BaseURL: ts.URL, Conns: 2, Duration: 50 * time.Millisecond}
+	url := loopback(t, snapshot.ImplRWMutex, 8)
+	base := Config{BaseURL: url, Conns: 2, Duration: 50 * time.Millisecond}
 	bad := []Config{
-		{BaseURL: ts.URL, Conns: 0, Duration: time.Second},
-		{BaseURL: ts.URL, Conns: 2, Duration: 0},
+		{BaseURL: url, Conns: 0, Duration: time.Second},
+		{BaseURL: url, Conns: 2, Duration: 0},
 		func() Config { c := base; c.Scenario = "nonsense"; return c }(),
 		{BaseURL: "http://127.0.0.1:1", Conns: 2, Duration: time.Second},
 	}

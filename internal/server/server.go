@@ -16,8 +16,41 @@
 // Errors carry a machine-readable code from the snapshot package's wire
 // taxonomy: bad ids are HTTP 400 {"code":"bad_component"}, infeasible
 // resizes HTTP 409 {"code":"bad_resize"}, bodies over MaxBodyBytes HTTP 413
-// {"code":"too_large"}, malformed requests HTTP 400 {"code":"bad_request"};
-// anything else is a 500 {"code":"internal"}.
+// {"code":"too_large"}, malformed requests HTTP 400 {"code":"bad_request"},
+// unknown paths HTTP 404 {"code":"not_found"}; anything else is a 500
+// {"code":"internal"}.
+//
+// Framing. Every request runs through one dispatch core: method, path and
+// body bytes in, status and reply bytes out. It has two fronts, which
+// answer every request with the same status, Content-Type and body bytes.
+// Serve is the package's own HTTP/1.1 connection loop, the one snapshotd
+// serves with; Handler adapts the core to net/http for in-process callers
+// (httptest, the benchmark's handler replay). Serve reads the subset of
+// HTTP snapshotd's clients (Go's net/http client, curl) send, and refuses
+// the rest:
+//
+//   - HTTP/1.1 and HTTP/1.0 request lines whose target is an absolute path;
+//     keep-alive (HTTP/1.1 by default, HTTP/1.0 with Connection:
+//     keep-alive), Connection: close, and pipelined requests, answered in
+//     order;
+//   - bodies only with a Content-Length, and Expect: 100-continue answered
+//     with an interim 100;
+//   - Transfer-Encoding is answered 411, a Content-Length over MaxBodyBytes
+//     413 too_large before the body is read, a head over 8 KiB 431, any
+//     other expectation 417, and a malformed head 400; each of these
+//     closes the connection;
+//   - each reply is a status line, Content-Type, Content-Length (and
+//     Connection where the default does not hold) and the body, sent in
+//     one Write from a per-connection buffer, reused across requests and
+//     capped like the codec's buffers.
+//
+// A request must arrive, head and body, within ReadTimeout of its first
+// byte; its reply must be written within WriteTimeout; a connection waits
+// at most IdleTimeout for its next request. Serve does not use net/http's
+// server because, for every keep-alive request, that server starts a
+// background read and aborts it by moving a deadline into the past, resets
+// deadlines several more times, and builds a header map and a URL; for
+// snapshotd's small requests that work is a large share of a round trip.
 //
 // Wire codec. A request costs about what its object call costs: the body
 // is read whole into a pooled buffer (at most MaxBodyBytes) and decoded by
@@ -53,6 +86,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -94,6 +128,16 @@ type Server struct {
 	updateOps   atomic.Uint64
 	scans       atomic.Uint64
 	resizes     atomic.Uint64
+
+	// The connection loop's state: Serve's listeners and connections, and
+	// Shutdown's progress.
+	limits    limits
+	closing   atomic.Bool
+	mu        sync.Mutex
+	lns       map[net.Listener]struct{}
+	conns     map[*conn]struct{}
+	drained   chan struct{} // closed once closing and no connection is left
+	isDrained bool
 }
 
 // New builds a server over obj. impl is the snapshot.Impl name obj was
@@ -106,23 +150,82 @@ func New(obj snapshot.Object[int64], impl snapshot.Impl, cfg Config) *Server {
 		obj:  obj,
 		impl: impl,
 		conf: &conformance{cap: int64(cfg.MaxRecordedOps), initial: obj.Components()},
+
+		limits:  limits{read: ReadTimeout, write: WriteTimeout, idle: IdleTimeout},
+		lns:     make(map[net.Listener]struct{}),
+		conns:   make(map[*conn]struct{}),
+		drained: make(chan struct{}),
 	}
 }
 
-// Handler returns the server's mux.
+// Handler returns the server as an http.Handler: an adapter that reads the
+// body (capped at MaxBodyBytes) and hands the request to the same dispatch
+// core Serve uses, so both fronts answer every request with the same status,
+// Content-Type and body bytes. snapshotd serves with Serve; Handler is for
+// in-process callers such as httptest.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/update", s.handleUpdate)
-	mux.HandleFunc("/scan", s.handleScan)
-	mux.HandleFunc("/grow", s.handleResize(true))
-	mux.HandleFunc("/shrink", s.handleResize(false))
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/conformance", s.handleConformance)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wb := getWireBuf()
+		defer putWireBuf(wb)
+		wb.in.Reset()
+		_, err := wb.in.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		if err != nil {
+			// Declared here, not above: errors.As makes its target escape,
+			// and a successful read should not pay for the allocation.
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				err = errTooLarge
+			}
+		}
+		status, ctype := s.dispatch(wb, request{method: r.Method, path: r.URL.Path, body: wb.in.Bytes(), bodyErr: err})
+		writeBody(w, status, ctype, wb.out)
 	})
-	return mux
+}
+
+// request is one request as the dispatch core sees it, whichever front
+// framed it.
+type request struct {
+	method, path string
+	body         []byte
+	// bodyErr is set, with body empty, when the body could not be read:
+	// errTooLarge when it is longer than MaxBodyBytes.
+	bodyErr error
+}
+
+var errTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
+
+// Reply content types.
+const (
+	jsonType = "application/json"
+	textType = "text/plain; charset=utf-8"
+)
+
+// paths are the endpoints' paths. The connection loop interns request paths
+// against them, so routing a known path allocates nothing.
+var paths = [...]string{"/update", "/scan", "/grow", "/shrink", "/stats", "/conformance", "/healthz"}
+
+// dispatch is the framing-agnostic core behind both fronts: it runs one
+// request and leaves the reply body in wb.out, returning the status and the
+// reply's Content-Type.
+func (s *Server) dispatch(wb *wireBuf, r request) (status int, ctype string) {
+	switch r.path {
+	case "/update":
+		return s.handleUpdate(wb, r), jsonType
+	case "/scan":
+		return s.handleScan(wb, r), jsonType
+	case "/grow":
+		return s.handleResize(wb, r, true), jsonType
+	case "/shrink":
+		return s.handleResize(wb, r, false), jsonType
+	case "/stats":
+		return s.handleStats(wb, r), jsonType
+	case "/conformance":
+		return s.handleConformance(wb), jsonType
+	case "/healthz":
+		wb.out = append(wb.out[:0], "ok\n"...)
+		return http.StatusOK, textType
+	}
+	return s.fail(wb, http.StatusNotFound, "not_found", fmt.Errorf("no endpoint %s", r.path)), jsonType
 }
 
 // ---- wire types ----
@@ -214,25 +317,21 @@ type ConformanceResp struct {
 
 // ---- handlers ----
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUpdate(wb *wireBuf, r request) int {
 	s.requests.Add(1)
-	wb := getWireBuf()
-	defer putWireBuf(wb)
 	var req UpdateReq
-	if !s.decode(w, r, wb, func(b []byte) error { return wb.dec.update(b, &req) }) {
-		return
+	if st := s.decode(wb, r, func(b []byte) error { return wb.dec.update(b, &req) }); st != 0 {
+		return st
 	}
 	ops := req.Ops
 	if len(ops) == 0 {
 		if len(req.IDs) == 0 {
-			s.fail(w, http.StatusBadRequest, "bad_request", errors.New("update: ids or ops required"))
-			return
+			return s.fail(wb, http.StatusBadRequest, "bad_request", errors.New("update: ids or ops required"))
 		}
 		one := [1]OneOp{{IDs: req.IDs, Vals: req.Vals}}
 		ops = one[:]
 	} else if len(req.IDs) != 0 {
-		s.fail(w, http.StatusBadRequest, "bad_request", errors.New("update: ids and ops are mutually exclusive"))
-		return
+		return s.fail(wb, http.StatusBadRequest, "bad_request", errors.New("update: ids and ops are mutually exclusive"))
 	}
 	applied := 0
 	for _, op := range ops {
@@ -240,14 +339,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// Batch semantics: earlier ops of the batch stay applied (each
 			// is individually linearizable); the response reports how far
 			// the batch got beside the error.
-			s.failApplied(w, err, applied)
-			return
+			return s.failApplied(wb, err, applied)
 		}
 		applied++
 	}
 	s.updates.Add(1)
 	wb.out = appendUpdateResp(wb.out[:0], applied)
-	writeBody(w, http.StatusOK, wb.out)
+	return http.StatusOK
 }
 
 // applyUpdate runs one update through the conformance recorder and the
@@ -265,19 +363,16 @@ func (s *Server) applyUpdate(ids []int, vals []int64) error {
 	return nil
 }
 
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleScan(wb *wireBuf, r request) int {
 	s.requests.Add(1)
-	wb := getWireBuf()
-	defer putWireBuf(wb)
 	var req ScanReq
-	if !s.decode(w, r, wb, func(b []byte) error { return wb.dec.scan(b, &req) }) {
-		return
+	if st := s.decode(wb, r, func(b []byte) error { return wb.dec.scan(b, &req) }); st != 0 {
+		return st
 	}
 	ids := req.IDs
 	if req.All {
 		if len(ids) != 0 {
-			s.fail(w, http.StatusBadRequest, "bad_request", errors.New("scan: ids and all are mutually exclusive"))
-			return
+			return s.fail(wb, http.StatusBadRequest, "bad_request", errors.New("scan: ids and all are mutually exclusive"))
 		}
 		ids = make([]int, s.obj.Components())
 		for i := range ids {
@@ -285,8 +380,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(ids) == 0 {
-		s.fail(w, http.StatusBadRequest, "bad_request", errors.New("scan: ids or all required"))
-		return
+		return s.fail(wb, http.StatusBadRequest, "bad_request", errors.New("scan: ids or all required"))
 	}
 
 	tok := s.conf.admit(spec.Scan)
@@ -294,49 +388,42 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	vals, err := s.obj.PartialScan(ids)
 	if err != nil {
 		tok.abort()
-		s.failApplied(w, err, 0)
-		return
+		return s.failApplied(wb, err, 0)
 	}
 	// ids was decoded (or built) for this request and vals is the scan's
 	// own result: the recorder keeps both as they are.
 	tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start, Comps: ids, Vals: vals})
 	s.scans.Add(1)
 	wb.out = appendScanResp(wb.out[:0], ids, vals)
-	writeBody(w, http.StatusOK, wb.out)
+	return http.StatusOK
 }
 
-func (s *Server) handleResize(grow bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		wb := getWireBuf()
-		defer putWireBuf(wb)
-		var req ResizeReq
-		if !s.decode(w, r, wb, func(b []byte) error { return wb.dec.resize(b, &req) }) {
-			return
-		}
-		kind, apply := spec.Shrink, s.obj.Shrink
-		if grow {
-			kind, apply = spec.Grow, s.obj.Grow
-		}
-		tok := s.conf.admit(kind)
-		start := tok.start()
-		n, err := apply(req.Delta)
-		if err != nil {
-			tok.abort()
-			s.failApplied(w, err, 0)
-			return
-		}
-		tok.commit(spec.Op[int64]{Kind: kind, Start: start, Delta: req.Delta, Size: n})
-		s.resizes.Add(1)
-		s.reply(w, http.StatusOK, ResizeResp{Components: n})
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleResize(wb *wireBuf, r request, grow bool) int {
 	s.requests.Add(1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("stats: %s not allowed", r.Method))
-		return
+	var req ResizeReq
+	if st := s.decode(wb, r, func(b []byte) error { return wb.dec.resize(b, &req) }); st != 0 {
+		return st
+	}
+	kind, apply := spec.Shrink, s.obj.Shrink
+	if grow {
+		kind, apply = spec.Grow, s.obj.Grow
+	}
+	tok := s.conf.admit(kind)
+	start := tok.start()
+	n, err := apply(req.Delta)
+	if err != nil {
+		tok.abort()
+		return s.failApplied(wb, err, 0)
+	}
+	tok.commit(spec.Op[int64]{Kind: kind, Start: start, Delta: req.Delta, Size: n})
+	s.resizes.Add(1)
+	return s.reply(wb, http.StatusOK, ResizeResp{Components: n})
+}
+
+func (s *Server) handleStats(wb *wireBuf, r request) int {
+	s.requests.Add(1)
+	if r.method != http.MethodGet {
+		return s.fail(wb, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("stats: %s not allowed", r.method))
 	}
 	resp := StatsResp{
 		Impl:        string(s.impl),
@@ -359,17 +446,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := sr.Stats()
 		resp.ObjectStats = &st
 	}
-	s.reply(w, http.StatusOK, resp)
+	return s.reply(wb, http.StatusOK, resp)
 }
 
-func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleConformance(wb *wireBuf) int {
 	s.requests.Add(1)
 	resp, err := s.Conformance()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "conformance_failed", err)
-		return
+		return s.fail(wb, http.StatusInternalServerError, "conformance_failed", err)
 	}
-	s.reply(w, http.StatusOK, resp)
+	return s.reply(wb, http.StatusOK, resp)
 }
 
 // Conformance runs spec.Check over the recorded traffic prefix. It first
@@ -407,87 +493,87 @@ const maxPooledBuf = 64 << 10
 func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
 
 func putWireBuf(wb *wireBuf) {
-	if wb.in.Cap() > maxPooledBuf || cap(wb.out) > maxPooledBuf {
+	if wb.oversize() {
 		return
 	}
 	wireBufs.Put(wb)
 }
 
-// decode checks the method, reads the body into wb.in (capped at
-// MaxBodyBytes) and hands it to parse. On any failure it has answered the
-// request and returns false.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, wb *wireBuf, parse func([]byte) error) bool {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("%s not allowed", r.Method))
-		return false
+// oversize reports whether wb holds a buffer too large to keep for the next
+// request.
+func (wb *wireBuf) oversize() bool {
+	return wb.in.Cap() > maxPooledBuf || cap(wb.out) > maxPooledBuf
+}
+
+// decode checks the method and the body read, and hands the body to parse.
+// It returns 0 on success; on any failure it has answered the request and
+// returns the reply's status.
+func (s *Server) decode(wb *wireBuf, r request, parse func([]byte) error) int {
+	if r.method != http.MethodPost {
+		return s.fail(wb, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("%s not allowed", r.method))
 	}
-	wb.in.Reset()
-	if _, err := wb.in.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, snapshot.CodeTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes))
-			return false
-		}
-		s.fail(w, http.StatusBadRequest, "bad_request", fmt.Errorf("reading request body: %w", err))
-		return false
+	if errors.Is(r.bodyErr, errTooLarge) {
+		return s.fail(wb, http.StatusRequestEntityTooLarge, snapshot.CodeTooLarge, errTooLarge)
 	}
-	if err := parse(wb.in.Bytes()); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad request body: %w", err))
-		return false
+	if r.bodyErr != nil {
+		return s.fail(wb, http.StatusBadRequest, "bad_request", fmt.Errorf("reading request body: %w", r.bodyErr))
 	}
-	return true
+	if err := parse(r.body); err != nil {
+		return s.fail(wb, http.StatusBadRequest, "bad_request", fmt.Errorf("bad request body: %w", err))
+	}
+	return 0
 }
 
 // failApplied maps an Object error to its HTTP status via the snapshot
 // wire taxonomy; applied (>0 only for batches) reports partial progress.
-func (s *Server) failApplied(w http.ResponseWriter, err error, applied int) {
+func (s *Server) failApplied(wb *wireBuf, err error, applied int) int {
 	switch snapshot.ErrorCode(err) {
 	case snapshot.CodeBadComponent:
 		s.rejected.Add(1)
-		s.failBody(w, http.StatusBadRequest, snapshot.CodeBadComponent, err, applied)
+		return s.failBody(wb, http.StatusBadRequest, snapshot.CodeBadComponent, err, applied)
 	case snapshot.CodeBadResize:
 		s.resizeBusy.Add(1)
-		s.failBody(w, http.StatusConflict, snapshot.CodeBadResize, err, applied)
+		return s.failBody(wb, http.StatusConflict, snapshot.CodeBadResize, err, applied)
 	default:
 		s.internal.Add(1)
-		s.failBody(w, http.StatusInternalServerError, "internal", err, applied)
+		return s.failBody(wb, http.StatusInternalServerError, "internal", err, applied)
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, status int, code string, err error) {
+func (s *Server) fail(wb *wireBuf, status int, code string, err error) int {
 	if status < http.StatusInternalServerError {
 		s.badRequests.Add(1)
 	} else {
 		s.internal.Add(1)
 	}
-	s.failBody(w, status, code, err, 0)
+	return s.failBody(wb, status, code, err, 0)
 }
 
-func (s *Server) failBody(w http.ResponseWriter, status int, code string, err error, applied int) {
-	s.reply(w, status, struct {
+func (s *Server) failBody(wb *wireBuf, status int, code string, err error, applied int) int {
+	return s.reply(wb, status, struct {
 		ErrorResp
 		Applied int `json:"applied,omitempty"`
 	}{ErrorResp{Error: err.Error(), Code: code}, applied})
 }
 
 // reply encodes a body off the hot path (errors, resizes, /stats,
-// /conformance) with encoding/json.
-func (s *Server) reply(w http.ResponseWriter, status int, body any) {
+// /conformance) with encoding/json into wb.out, and returns status.
+func (s *Server) reply(wb *wireBuf, status int, body any) int {
 	data, err := json.Marshal(body)
 	if err != nil {
 		// Every body is one of this package's wire types, which always
 		// marshal; a failure here is a bug.
 		panic(fmt.Sprintf("server: encoding %T: %v", body, err))
 	}
-	writeBody(w, status, append(data, '\n'))
+	wb.out = append(append(wb.out[:0], data...), '\n')
+	return status
 }
 
-// writeBody sends one JSON body with an explicit Content-Length in a single
+// writeBody sends one reply with an explicit Content-Length in a single
 // Write.
-func writeBody(w http.ResponseWriter, status int, body []byte) {
+func writeBody(w http.ResponseWriter, status int, ctype string, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h.Set("Content-Type", ctype)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
