@@ -14,9 +14,9 @@ import (
 
 // loopback serves a fresh object on snapshotd's connection loop over a
 // loopback port and returns its base URL.
-func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) string {
+func loopback(t *testing.T, impl snapshot.Impl, n int) string {
 	t.Helper()
-	obj, err := snapshot.New[int64](impl, n, opts...)
+	obj, err := snapshot.New[int64](impl, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) 
 	return "http://" + ln.Addr().String()
 }
 
-// TestLoopbackRoundTrip is the snapload round trip in miniature: a sharded
+// TestLoopbackRoundTrip is the snapload round trip in miniature: a lockfree
 // snapshotd on loopback, a short mixed closed-loop run with batching, zero
 // 5xx, a passing conformance check, and a sane report (all ops accounted,
 // percentiles ordered, histogram totals matching the request count).
 func TestLoopbackRoundTrip(t *testing.T) {
-	base := loopback(t, snapshot.ImplSharded, 16, snapshot.WithShards(4))
+	base := loopback(t, snapshot.ImplLockFree, 16)
 	dur := 500 * time.Millisecond
 	if testing.Short() {
 		dur = 150 * time.Millisecond
@@ -96,17 +96,15 @@ func TestLoopbackRoundTrip(t *testing.T) {
 }
 
 // TestLoopbackPartitioned drives the partitioned shape — conns pinned to
-// disjoint component ranges — and checks the locality story end to end:
-// the store's cross-shard protocol never runs when partitions align with
-// shards.
+// disjoint component ranges — and checks the paper's locality end to end
+// on the lockfree store: its per-component registry is the partition.
 func TestLoopbackPartitioned(t *testing.T) {
-	// 8 conns over 16 components: partition width 2, matching 8 shards of
-	// width 2 exactly.
-	obj, err := snapshot.New[int64](snapshot.ImplSharded, 16, snapshot.WithShards(8))
+	// 8 conns over 16 components: partition width 2.
+	obj, err := snapshot.New[int64](snapshot.ImplLockFree, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(obj, snapshot.ImplSharded, server.Config{}).Handler())
+	ts := httptest.NewServer(server.New(obj, snapshot.ImplLockFree, server.Config{}).Handler())
 	defer ts.Close()
 	rep, err := Run(Config{
 		BaseURL:     ts.URL,
@@ -123,9 +121,12 @@ func TestLoopbackPartitioned(t *testing.T) {
 	if rep.Errors5xx != 0 || rep.Errors4xx != 0 {
 		t.Fatalf("errors on a partitioned run: %+v", rep)
 	}
-	st := obj.(*snapshot.Sharded[int64]).Stats()
-	if st.CrossShardScans != 0 {
-		t.Fatalf("partitioned traffic crossed shards %d times", st.CrossShardScans)
+	// Each conn's scans and updates name only its own partition, and a
+	// conn runs its ops one after another, so an update's registry walk
+	// only passes slots where no scan is live.
+	st := obj.(snapshot.StatsReader).Stats()
+	if st.RecordsVisited != 0 {
+		t.Fatalf("partitioned traffic met %d foreign scan records: %+v", st.RecordsVisited, st)
 	}
 	if rep.Conformance == nil || !rep.Conformance.OK {
 		t.Fatalf("conformance not verified: %+v", rep.Conformance)

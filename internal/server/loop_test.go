@@ -188,6 +188,9 @@ func TestLoopProtocol(t *testing.T) {
 		{"404 keeps the connection", []step{
 			{"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n", []reply{{status: 404, body: `"code":"not_found"`}}},
 		}, false},
+		{"a grow past MaxComponents is refused and the daemon serves on", []step{
+			{postReq("/grow", `{"delta":9223372036854775807}`, ""), []reply{{status: 409, body: `"code":"bad_resize"`}}},
+		}, false},
 		{"HEAD carries no body", []step{
 			{"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n", []reply{{status: 200, header: "Content-Length: 3"}}},
 		}, false},

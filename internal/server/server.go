@@ -1,7 +1,7 @@
 // Package server is snapshotd's serving layer: an HTTP/JSON front end over
 // any snapshot.Object[int64] built by snapshot.New. It is store-agnostic:
-// it calls only the Object methods, plus two optional ones for /stats
-// (snapshot.StatsReader's Stats and a shard count, NumShards).
+// it calls only the Object methods, plus snapshot.StatsReader's Stats for
+// /stats when the store has it.
 //
 // Endpoints:
 //
@@ -290,7 +290,6 @@ type ErrorResp struct {
 type StatsResp struct {
 	Impl       string `json:"impl"`
 	Components int    `json:"components"`
-	Shards     int    `json:"shards,omitempty"`
 
 	Requests    uint64 `json:"requests"`
 	UpdateReqs  uint64 `json:"update_reqs"`
@@ -439,9 +438,6 @@ func (s *Server) handleStats(wb *wireBuf, r request) int {
 		Internal:    s.internal.Load(),
 	}
 	resp.RecordedOps, resp.RecordingClosed = s.conf.status()
-	if sh, ok := s.obj.(interface{ NumShards() int }); ok {
-		resp.Shards = sh.NumShards()
-	}
 	if sr, ok := s.obj.(snapshot.StatsReader); ok {
 		st := sr.Stats()
 		resp.ObjectStats = &st

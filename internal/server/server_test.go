@@ -13,9 +13,9 @@ import (
 	"partialsnapshot/internal/snapshot"
 )
 
-func newTestServer(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, impl snapshot.Impl, n int) (*Server, *httptest.Server) {
 	t.Helper()
-	obj, err := snapshot.New[int64](impl, n, opts...)
+	obj, err := snapshot.New[int64](impl, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestHandlerRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Impl != "lockfree" || st.Shards != 0 || st.Components != 8 {
+	if st.Impl != "lockfree" || st.Components != 8 {
 		t.Fatalf("stats identity wrong: %+v", st)
 	}
 	if st.UpdateOps != 4 || st.Scans != 2 || st.Resizes != 2 {
@@ -320,8 +320,8 @@ func TestConformanceRecordingCloses(t *testing.T) {
 }
 
 // TestServerOverEveryImpl smoke-runs the server over each factory
-// implementation — the serving layer must not depend on the store being
-// sharded.
+// implementation — the serving layer calls only the Object interface, so
+// every store must serve, check and report alike.
 func TestServerOverEveryImpl(t *testing.T) {
 	for _, impl := range snapshot.Impls() {
 		t.Run(string(impl), func(t *testing.T) {
@@ -345,8 +345,8 @@ func TestServerOverEveryImpl(t *testing.T) {
 			if err := json.Unmarshal(body, &st); err != nil {
 				t.Fatal(err)
 			}
-			if st.Components != 8 || (impl == snapshot.ImplSharded) != (st.Shards > 0) {
-				t.Fatalf("%s /stats: %d components, %d shards", impl, st.Components, st.Shards)
+			if st.Impl != string(impl) || st.Components != 8 {
+				t.Fatalf("%s /stats: %+v", impl, st)
 			}
 		})
 	}

@@ -216,17 +216,21 @@ func (o *LockFree[V]) pin() *universe[V] {
 }
 
 // Grow appends k fresh zero-valued components and returns the new component
-// count. The resize linearizes at the CAS that installs the successor
-// universe; in-flight operations pinned to the predecessor are unaffected
-// (they linearize before the Grow). Lost CAS races against concurrent
-// resizes rebuild and retry — each retry is caused by another install
-// succeeding, so the loop is lock-free.
+// count, refusing with ErrBadResize to pass MaxComponents. The resize
+// linearizes at the CAS that installs the successor universe; in-flight
+// operations pinned to the predecessor are unaffected (they linearize
+// before the Grow). Lost CAS races against concurrent resizes rebuild and
+// retry — each retry is caused by another install succeeding, so the loop
+// is lock-free.
 func (o *LockFree[V]) Grow(k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("%w: grow by %d components", ErrBadResize, k)
 	}
 	for {
 		old := o.uni.Load()
+		if k > MaxComponents-len(old.regs) {
+			return 0, fmt.Errorf("%w: grow by %d of %d components past %d", ErrBadResize, k, len(old.regs), MaxComponents)
+		}
 		succ := old.grown(k)
 		o.yield(sched.PreEpochInstall, len(succ.regs))
 		if o.uni.CompareAndSwap(old, succ) {

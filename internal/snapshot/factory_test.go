@@ -3,6 +3,7 @@ package snapshot_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"partialsnapshot/internal/snapshot"
@@ -45,14 +46,9 @@ func TestFactoryRejectsMisuse(t *testing.T) {
 		{"unknown impl", "spanner", 8, nil},
 		{"zero components", snapshot.ImplLockFree, 0, nil},
 		{"negative components", snapshot.ImplVersioned, -3, nil},
-		{"shards on lockfree", snapshot.ImplLockFree, 8, []snapshot.Option{snapshot.WithShards(2)}},
-		{"shard impl on versioned", snapshot.ImplVersioned, 8, []snapshot.Option{snapshot.WithShardImpl(snapshot.ImplLockFree)}},
+		{"components past the cap", snapshot.ImplRWMutex, snapshot.MaxComponents + 1, nil},
 		{"attempts on lockfree", snapshot.ImplLockFree, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
 		{"attempts on rwmutex", snapshot.ImplRWMutex, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
-		{"attempts on lock-free shards", snapshot.ImplSharded, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
-		{"zero shards", snapshot.ImplSharded, 8, []snapshot.Option{snapshot.WithShards(0)}},
-		{"more shards than components", snapshot.ImplSharded, 4, []snapshot.Option{snapshot.WithShards(8)}},
-		{"rwmutex shards", snapshot.ImplSharded, 8, []snapshot.Option{snapshot.WithShardImpl(snapshot.ImplRWMutex)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,42 +59,42 @@ func TestFactoryRejectsMisuse(t *testing.T) {
 	}
 }
 
-// TestFactoryShardOptions exercises the sharded option surface that IS
-// valid: explicit geometry, versioned shards, and the attempts knob once
-// the shards are versioned.
-func TestFactoryShardOptions(t *testing.T) {
-	obj, err := snapshot.New[int64](snapshot.ImplSharded, 10,
-		snapshot.WithShards(4), snapshot.WithShardImpl(snapshot.ImplVersioned),
-		snapshot.WithOptimisticAttempts(1))
+// TestResizeCap pins MaxComponents on every implementation: a grow that
+// would pass the cap, however large, is ErrBadResize before anything is
+// allocated (not an out-of-memory or makeslice panic), it leaves the
+// object as it was, and New refuses an object past the cap.
+func TestResizeCap(t *testing.T) {
+	for _, impl := range snapshot.Impls() {
+		t.Run(string(impl), func(t *testing.T) {
+			obj, err := snapshot.New[int64](impl, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{math.MaxInt, math.MaxInt - 4, snapshot.MaxComponents, snapshot.MaxComponents - 7} {
+				if n, err := obj.Grow(k); !errors.Is(err, snapshot.ErrBadResize) {
+					t.Fatalf("Grow(%d) on 8 components: %d, %v; want ErrBadResize", k, n, err)
+				}
+			}
+			if n := obj.Components(); n != 8 {
+				t.Fatalf("refused grows left %d components, want 8", n)
+			}
+			if obj, err := snapshot.New[int64](impl, snapshot.MaxComponents+1); err == nil {
+				t.Fatalf("New(%s, MaxComponents+1) returned %T", impl, obj)
+			}
+		})
+	}
+	// The cap itself is reachable. It is checked on the reference store
+	// only: there it costs 8 MB, while LockFree's registers and
+	// announcement slots at the cap take over 100 MB.
+	obj, err := snapshot.New[int64](snapshot.ImplRWMutex, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := obj.(*snapshot.Sharded[int64])
-	if !ok {
-		t.Fatalf("New(sharded) returned %T", obj)
+	if n, err := obj.Grow(snapshot.MaxComponents - 8); err != nil || n != snapshot.MaxComponents {
+		t.Fatalf("Grow to the cap: %d, %v", n, err)
 	}
-	if sh.NumShards() != 4 || sh.ShardWidth() != 2 {
-		t.Fatalf("geometry: %d shards of width %d, want 4 of width 2", sh.NumShards(), sh.ShardWidth())
-	}
-	if err := obj.Update([]int{0, 9}, []int64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obj.Scan(); err != nil {
-		t.Fatal(err)
-	}
-	// Versioned shards surface the seqlock gauges through the aggregate.
-	st := sh.Stats()
-	if st.OptimisticScans == 0 {
-		t.Fatalf("versioned shards never took the optimistic path: %+v", st)
-	}
-	// The default shard count clamps to the component count on tiny
-	// objects instead of failing construction.
-	tiny, err := snapshot.New[int64](snapshot.ImplSharded, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tiny.(*snapshot.Sharded[int64]).NumShards(); got != 2 {
-		t.Fatalf("default shards on a 2-component object: got %d, want 2", got)
+	if _, err := obj.Grow(1); !errors.Is(err, snapshot.ErrBadResize) {
+		t.Fatalf("Grow(1) at the cap: %v, want ErrBadResize", err)
 	}
 }
 

@@ -71,13 +71,17 @@ func (o *RWMutex[V]) Scan() ([]V, error) {
 	return out, nil
 }
 
-// Grow appends k zero-valued components under the write lock.
+// Grow appends k zero-valued components under the write lock, refusing
+// with ErrBadResize to pass MaxComponents.
 func (o *RWMutex[V]) Grow(k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("%w: grow by %d components", ErrBadResize, k)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if k > MaxComponents-len(o.vals) {
+		return 0, fmt.Errorf("%w: grow by %d of %d components past %d", ErrBadResize, k, len(o.vals), MaxComponents)
+	}
 	o.vals = append(o.vals, make([]V, k)...)
 	return len(o.vals), nil
 }

@@ -60,8 +60,16 @@ import (
 var ErrBadComponent = errors.New("snapshot: bad component set")
 
 // ErrBadResize is returned (wrapped, with detail) when a Grow or Shrink
-// amount is not positive, or a Shrink would remove every component.
+// amount is not positive, a Shrink would remove every component, or a Grow
+// would take the object past MaxComponents.
 var ErrBadResize = errors.New("snapshot: bad resize")
+
+// MaxComponents bounds every object's component count: New rejects a
+// larger n and Grow refuses to pass it with ErrBadResize. It makes the
+// memory a resize can ask for finite before anything is allocated, so a
+// hostile or mistaken grow amount is an error, not an out-of-memory
+// panic.
+const MaxComponents = 1 << 20
 
 // Object is the partial snapshot API shared by all implementations.
 type Object[V any] interface {
